@@ -34,6 +34,39 @@ fn bench_raw_htm(c: &mut Criterion) {
             .unwrap()
         })
     });
+    // Stock-Level-sized: one TPC-C read section commits 363 tracked reads
+    // in HTM on broadwell-sim. One cell per line, so every read is a new
+    // line for the footprint and the directory.
+    let cpl = h.config().cells_per_line as usize;
+    let lines = h.memory().alloc_line_aligned(363 * cpl);
+    c.bench_function("htm/txn-read-363", |b| {
+        b.iter(|| {
+            ctx.txn(TxKind::Htm, |tx| {
+                let mut sum = 0u64;
+                for i in 0..363 {
+                    sum = sum.wrapping_add(tx.read(lines.cell(i * cpl))?);
+                }
+                Ok(sum)
+            })
+            .unwrap()
+        })
+    });
+    // A small write section: 5 reads then 5 writes, each on its own line.
+    c.bench_function("htm/txn-10rw", |b| {
+        b.iter(|| {
+            ctx.txn(TxKind::Htm, |tx| {
+                let mut sum = 0u64;
+                for i in 0..5 {
+                    sum = sum.wrapping_add(tx.read(lines.cell(i * cpl))?);
+                }
+                for i in 5..10 {
+                    tx.write(lines.cell(i * cpl), sum)?;
+                }
+                Ok(())
+            })
+            .unwrap()
+        })
+    });
     let d = h.direct(1);
     c.bench_function("htm/untracked-load", |b| b.iter(|| d.load(cell)));
     c.bench_function("htm/untracked-store", |b| b.iter(|| d.store(cell, 1)));

@@ -183,8 +183,7 @@ impl<'h> Direct<'h> {
 pub struct Suspended<'a> {
     pub(crate) htm: &'a Htm,
     pub(crate) me: crate::slots::Owner,
-    pub(crate) write_lines: &'a std::collections::HashSet<crate::memory::LineId>,
-    pub(crate) write_buf: &'a std::collections::HashMap<u32, u64>,
+    pub(crate) scratch: &'a crate::tx::TxScratch,
 }
 
 impl Suspended<'_> {
@@ -195,11 +194,11 @@ impl Suspended<'_> {
             .scheduler()
             .yield_point(self.me.tid, YieldKind::Access);
         let line = self.htm.mem_ref().line_of(cell);
-        if self.write_lines.contains(&line) {
+        if self.scratch.wrote(line) {
             // Own speculatively-written line: serve from the write buffer
             // (or the pre-transaction value for untouched cells on it).
-            return match self.write_buf.get(&cell.0) {
-                Some(&v) => v,
+            return match self.scratch.buffered(cell) {
+                Some(v) => v,
                 None => self.htm.mem_ref().raw_load(cell),
             };
         }

@@ -14,24 +14,123 @@
 //!   write-buffer flush finishes, which makes single-cell untracked accesses
 //!   atomic with respect to commits.
 
-use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::config::ConflictPolicy;
 use crate::memory::LineId;
 use crate::slots::{DoomOutcome, Owner, TxTable};
 use crate::tx::Abort;
+use crate::util::{FxHashMap, Pad};
 
-#[derive(Debug, Default)]
+/// "No owner". Epochs start at 1, so no transaction ever has epoch 0.
+const NO_OWNER: Owner = Owner { tid: 0, epoch: 0 };
+
+/// Reader slots kept inside a line entry. A line shared by more readers at
+/// once spills its reader list to the heap.
+const INLINE_READERS: usize = 2;
+
+/// The transactional readers of one line. Behaves exactly like a `Vec`
+/// (`push` appends, `swap_remove` moves the last reader into the hole,
+/// `retain` keeps order), because reader order decides which peer a
+/// `ResponderWins` self-abort is attributed to.
+#[derive(Debug)]
+enum Readers {
+    Inline {
+        len: u8,
+        slots: [Owner; INLINE_READERS],
+    },
+    Spilled(Vec<Owner>),
+}
+
+impl Readers {
+    const EMPTY: Self = Readers::Inline {
+        len: 0,
+        slots: [NO_OWNER; INLINE_READERS],
+    };
+
+    #[inline]
+    fn as_slice(&self) -> &[Owner] {
+        match self {
+            Readers::Inline { len, slots } => &slots[..*len as usize],
+            Readers::Spilled(v) => v,
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, r: Owner) {
+        match self {
+            Readers::Inline { len, slots } if (*len as usize) < INLINE_READERS => {
+                slots[*len as usize] = r;
+                *len += 1;
+            }
+            Readers::Inline { slots, .. } => {
+                let mut v = Vec::with_capacity(2 * INLINE_READERS);
+                v.extend_from_slice(slots);
+                v.push(r);
+                *self = Readers::Spilled(v);
+            }
+            Readers::Spilled(v) => v.push(r),
+        }
+    }
+
+    fn swap_remove(&mut self, i: usize) {
+        match self {
+            Readers::Inline { len, slots } => {
+                assert!(i < *len as usize, "reader index {i} out of range");
+                *len -= 1;
+                slots[i] = slots[*len as usize];
+            }
+            Readers::Spilled(v) => {
+                v.swap_remove(i);
+            }
+        }
+    }
+
+    #[inline]
+    fn retain(&mut self, mut keep: impl FnMut(&Owner) -> bool) {
+        match self {
+            Readers::Inline { len, slots } => {
+                let mut kept = 0;
+                for i in 0..*len as usize {
+                    if keep(&slots[i]) {
+                        slots[kept] = slots[i];
+                        kept += 1;
+                    }
+                }
+                *len = kept as u8;
+            }
+            Readers::Spilled(v) => v.retain(keep),
+        }
+    }
+}
+
+#[derive(Debug)]
 struct LineEntry {
-    writer: Option<Owner>,
-    readers: Vec<Owner>,
+    /// The transactional writer, or [`NO_OWNER`].
+    writer: Owner,
+    readers: Readers,
+}
+
+impl Default for LineEntry {
+    fn default() -> Self {
+        Self {
+            writer: NO_OWNER,
+            readers: Readers::EMPTY,
+        }
+    }
 }
 
 impl LineEntry {
+    #[inline]
+    fn writer(&self) -> Option<Owner> {
+        (self.writer.epoch != 0).then_some(self.writer)
+    }
+
+    #[inline]
     fn is_empty(&self) -> bool {
-        self.writer.is_none() && self.readers.is_empty()
+        self.writer.epoch == 0 && self.readers.as_slice().is_empty()
     }
 }
 
@@ -39,33 +138,40 @@ const SHARD_COUNT: usize = 64;
 
 #[derive(Debug, Default)]
 struct Shard {
-    map: Mutex<HashMap<u32, LineEntry>>,
+    map: Mutex<FxHashMap<u32, LineEntry>>,
     /// Number of live entries, maintained under the mutex. Lets untracked
     /// *reads* skip the lock entirely when no transaction holds any line
     /// of the shard — mirroring real hardware, where uninstrumented loads
     /// are free while transactional tracking costs.
-    occupancy: std::sync::atomic::AtomicUsize,
+    occupancy: AtomicUsize,
 }
 
 #[derive(Debug)]
 pub(crate) struct Directory {
-    shards: Box<[Shard]>,
+    /// Each shard on its own cache line, so a thread working one shard does
+    /// not invalidate its neighbours' mutex and occupancy words.
+    shards: Box<[Pad<Shard>]>,
 }
 
 struct ShardGuard<'a> {
-    map: parking_lot::MutexGuard<'a, HashMap<u32, LineEntry>>,
-    occupancy: &'a std::sync::atomic::AtomicUsize,
+    map: MutexGuard<'a, FxHashMap<u32, LineEntry>>,
+    occupancy: &'a AtomicUsize,
+    /// `map.len()` when the lock was taken, which is what `occupancy`
+    /// holds: the word is rewritten only when the count changed.
+    len_at_lock: usize,
 }
 
 impl Drop for ShardGuard<'_> {
     fn drop(&mut self) {
-        self.occupancy
-            .store(self.map.len(), std::sync::atomic::Ordering::SeqCst);
+        let len = self.map.len();
+        if len != self.len_at_lock {
+            self.occupancy.store(len, Ordering::SeqCst);
+        }
     }
 }
 
 impl std::ops::Deref for ShardGuard<'_> {
-    type Target = HashMap<u32, LineEntry>;
+    type Target = FxHashMap<u32, LineEntry>;
 
     fn deref(&self) -> &Self::Target {
         &self.map
@@ -88,7 +194,7 @@ pub(crate) enum UntrackedKind {
 impl Directory {
     pub(crate) fn new() -> Self {
         let mut shards = Vec::with_capacity(SHARD_COUNT);
-        shards.resize_with(SHARD_COUNT, Shard::default);
+        shards.resize_with(SHARD_COUNT, Pad::<Shard>::default);
         Self {
             shards: shards.into_boxed_slice(),
         }
@@ -106,8 +212,10 @@ impl Directory {
     #[inline]
     fn lock_shard(&self, line: LineId) -> ShardGuard<'_> {
         let shard = self.shard(line);
+        let map = shard.map.lock();
         ShardGuard {
-            map: shard.map.lock(),
+            len_at_lock: map.len(),
+            map,
             occupancy: &shard.occupancy,
         }
     }
@@ -153,13 +261,13 @@ impl Directory {
     ) -> Result<(), Abort> {
         let mut shard = self.lock_shard(line);
         let entry = shard.entry(line.0).or_default();
-        if let Some(other) = entry.writer {
+        if let Some(other) = entry.writer() {
             if other != me {
                 Self::resolve_tx_conflict(table, policy, other, line, me)?;
-                entry.writer = None;
+                entry.writer = NO_OWNER;
             }
         }
-        debug_assert!(!entry.readers.contains(&me));
+        debug_assert!(!entry.readers.as_slice().contains(&me));
         entry.readers.push(me);
         Ok(())
     }
@@ -180,16 +288,15 @@ impl Directory {
     ) -> Result<(), Abort> {
         let mut shard = self.lock_shard(line);
         let entry = shard.entry(line.0).or_default();
-        if let Some(other) = entry.writer {
+        if let Some(other) = entry.writer() {
             if other != me {
                 Self::resolve_tx_conflict(table, policy, other, line, me)?;
-                entry.writer = None;
+                entry.writer = NO_OWNER;
             }
         }
         // Doom / defer to readers other than me.
         let mut i = 0;
-        while i < entry.readers.len() {
-            let r = entry.readers[i];
+        while let Some(&r) = entry.readers.as_slice().get(i) {
             if r == me {
                 i += 1;
                 continue;
@@ -197,7 +304,7 @@ impl Directory {
             Self::resolve_tx_conflict(table, policy, r, line, me)?;
             entry.readers.swap_remove(i);
         }
-        entry.writer = Some(me);
+        entry.writer = me;
         Ok(())
     }
 
@@ -224,18 +331,12 @@ impl Directory {
         // in-flight registration — so it skips the lock entirely. Stores
         // must always take the slow path: their doom of registered holders
         // has to be serialized with registration.
-        if kind == UntrackedKind::Read
-            && self
-                .shard(line)
-                .occupancy
-                .load(std::sync::atomic::Ordering::SeqCst)
-                == 0
-        {
+        if kind == UntrackedKind::Read && self.shard(line).occupancy.load(Ordering::SeqCst) == 0 {
             return op();
         }
         let mut shard = self.lock_shard(line);
         if let Some(entry) = shard.get_mut(&line.0) {
-            if let Some(other) = entry.writer {
+            if let Some(other) = entry.writer() {
                 let doom_it = kind == UntrackedKind::Write || reads_doom;
                 match if doom_it {
                     table.note_doom(other, line, doomer);
@@ -245,12 +346,12 @@ impl Directory {
                 } {
                     DoomOutcome::Dead | DoomOutcome::Stale => {
                         if doom_it {
-                            entry.writer = None;
+                            entry.writer = NO_OWNER;
                         }
                     }
                     DoomOutcome::Committing => {
                         table.wait_while_committing(other);
-                        entry.writer = None;
+                        entry.writer = NO_OWNER;
                     }
                     // reads_doom disabled: the writer stays speculative and
                     // the untracked read observes the pre-transaction value,
@@ -259,10 +360,11 @@ impl Directory {
                 }
             }
             if kind == UntrackedKind::Write {
-                for r in entry.readers.drain(..) {
+                for &r in entry.readers.as_slice() {
                     table.note_doom(r, line, doomer);
                     let _ = table.doom(r);
                 }
+                entry.readers = Readers::EMPTY;
             }
             if entry.is_empty() {
                 shard.remove(&line.0);
@@ -284,33 +386,20 @@ impl Directory {
         self.untracked_op(line, kind, reads_doom, doomer, table, || ());
     }
 
-    /// Removes `me`'s registrations for the given lines (commit or abort
-    /// cleanup). Idempotent: entries already cleared by conflicting accesses
-    /// are skipped.
-    pub(crate) fn release<'a>(
-        &self,
-        me: Owner,
-        read_lines: impl Iterator<Item = &'a LineId>,
-        write_lines: impl Iterator<Item = &'a LineId>,
-    ) {
-        for &line in read_lines {
-            let mut shard = self.lock_shard(line);
-            if let Some(entry) = shard.get_mut(&line.0) {
+    /// Removes `me`'s registrations on `line` (commit or abort cleanup):
+    /// its reader slot if `read`, its writer slot if `write`. Idempotent:
+    /// registrations already cleared by conflicting accesses are skipped.
+    pub(crate) fn release(&self, me: Owner, line: LineId, read: bool, write: bool) {
+        let mut shard = self.lock_shard(line);
+        if let Some(entry) = shard.get_mut(&line.0) {
+            if read {
                 entry.readers.retain(|&r| r != me);
-                if entry.is_empty() {
-                    shard.remove(&line.0);
-                }
             }
-        }
-        for &line in write_lines {
-            let mut shard = self.lock_shard(line);
-            if let Some(entry) = shard.get_mut(&line.0) {
-                if entry.writer == Some(me) {
-                    entry.writer = None;
-                }
-                if entry.is_empty() {
-                    shard.remove(&line.0);
-                }
+            if write && entry.writer == me {
+                entry.writer = NO_OWNER;
+            }
+            if entry.is_empty() {
+                shard.remove(&line.0);
             }
         }
     }
@@ -398,6 +487,27 @@ mod tests {
             .unwrap();
         assert!(table.is_doomed(owner(0, 1)));
         assert!(!table.is_doomed(owner(1, 1)));
+    }
+
+    #[test]
+    fn write_dooms_every_inline_reader() {
+        let dir = Directory::new();
+        let table = TxTable::new(4);
+        let line = LineId(3);
+        for tid in 0..INLINE_READERS as u32 {
+            table.begin(tid, 1);
+            dir.acquire_read(line, owner(tid, 1), &table, ConflictPolicy::RequesterWins)
+                .unwrap();
+        }
+        let writer = owner(INLINE_READERS as u32, 1);
+        table.begin(writer.tid, 1);
+        dir.acquire_write(line, writer, &table, ConflictPolicy::RequesterWins)
+            .unwrap();
+        for tid in 0..INLINE_READERS as u32 {
+            assert!(table.is_doomed(owner(tid, 1)), "reader {tid} survived");
+        }
+        dir.release(writer, line, false, true);
+        assert_eq!(dir.live_lines(), 0, "doomed readers were dropped");
     }
 
     #[test]
@@ -510,7 +620,8 @@ mod tests {
         dir.acquire_write(w_line, owner(0, 1), &table, ConflictPolicy::RequesterWins)
             .unwrap();
         assert_eq!(dir.live_lines(), 2);
-        dir.release(owner(0, 1), [r_line].iter(), [w_line].iter());
+        dir.release(owner(0, 1), r_line, true, false);
+        dir.release(owner(0, 1), w_line, false, true);
         assert_eq!(dir.live_lines(), 0);
     }
 
@@ -544,6 +655,121 @@ mod tests {
             .unwrap();
         assert!(!table.is_doomed(me));
         assert_eq!(dir.live_lines(), 1);
+    }
+
+    #[test]
+    fn line_entries_stay_compact() {
+        // A writer and two inline readers; the old `Option<Owner>` +
+        // `Vec<Owner>` layout was 48 bytes plus a heap block per entry.
+        assert!(std::mem::size_of::<LineEntry>() <= 56);
+    }
+
+    /// Four readers of one line: more than the inline slots hold, so the
+    /// spilled list must keep every reader and release them all.
+    const SHARED: u32 = 4;
+    const _: () = assert!(SHARED as usize > INLINE_READERS);
+
+    fn shared_line(dir: &Directory, table: &TxTable, line: LineId, policy: ConflictPolicy) {
+        for tid in 0..SHARED {
+            table.begin(tid, 1);
+            dir.acquire_read(line, owner(tid, 1), table, policy)
+                .unwrap();
+        }
+    }
+
+    #[test]
+    fn spilled_readers_are_all_doomed_by_a_requester_wins_write() {
+        let dir = Directory::new();
+        let table = TxTable::new(8);
+        let line = LineId(21);
+        shared_line(&dir, &table, line, ConflictPolicy::RequesterWins);
+        // The writer is one of the readers, upgrading its own line.
+        dir.acquire_write(line, owner(1, 1), &table, ConflictPolicy::RequesterWins)
+            .unwrap();
+        for tid in 0..SHARED {
+            if tid == 1 {
+                assert!(!table.is_doomed(owner(tid, 1)), "the writer survives");
+                assert_eq!(table.take_conflict(owner(tid, 1)), None);
+            } else {
+                assert!(table.is_doomed(owner(tid, 1)), "reader {tid} survived");
+                assert_eq!(table.take_conflict(owner(tid, 1)), Some((21, 1)));
+            }
+        }
+        dir.release(owner(1, 1), line, true, true);
+        assert_eq!(dir.live_lines(), 0);
+    }
+
+    #[test]
+    fn spilled_readers_survive_a_responder_wins_write() {
+        let dir = Directory::new();
+        let table = TxTable::new(8);
+        let line = LineId(22);
+        shared_line(&dir, &table, line, ConflictPolicy::ResponderWins);
+        table.begin(7, 1);
+        let res = dir.acquire_write(line, owner(7, 1), &table, ConflictPolicy::ResponderWins);
+        assert_eq!(res, Err(Abort::Conflict));
+        for tid in 0..SHARED {
+            assert!(!table.is_doomed(owner(tid, 1)), "reader {tid} was doomed");
+        }
+        // Attributed to the first live reader, in registration order.
+        assert_eq!(table.take_conflict(owner(7, 1)), Some((22, 0)));
+        // Every reader is still registered: an untracked store finds them.
+        dir.untracked_access(line, UntrackedKind::Write, true, 6, &table);
+        for tid in 0..SHARED {
+            assert!(table.is_doomed(owner(tid, 1)), "reader {tid} was lost");
+        }
+    }
+
+    #[test]
+    fn untracked_store_dooms_every_spilled_reader() {
+        let dir = Directory::new();
+        let table = TxTable::new(8);
+        let line = LineId(23);
+        shared_line(&dir, &table, line, ConflictPolicy::RequesterWins);
+        dir.untracked_access(line, UntrackedKind::Write, true, 6, &table);
+        for tid in 0..SHARED {
+            assert!(table.is_doomed(owner(tid, 1)), "reader {tid} survived");
+            assert_eq!(table.take_conflict(owner(tid, 1)), Some((23, 6)));
+        }
+        assert_eq!(dir.live_lines(), 0, "the store cleared the entry");
+    }
+
+    #[test]
+    fn releasing_every_spilled_reader_empties_the_directory() {
+        let dir = Directory::new();
+        let table = TxTable::new(8);
+        let line = LineId(24);
+        shared_line(&dir, &table, line, ConflictPolicy::RequesterWins);
+        // Out of registration order, so removal from the middle is covered.
+        for tid in [2, 0, 3, 1] {
+            assert_eq!(dir.live_lines(), 1);
+            dir.release(owner(tid, 1), line, true, false);
+        }
+        assert_eq!(dir.live_lines(), 0);
+        // Releasing again (or a stale owner) is a no-op.
+        dir.release(owner(0, 1), line, true, true);
+        assert_eq!(dir.live_lines(), 0);
+    }
+
+    #[test]
+    fn occupancy_tracks_live_entries() {
+        let dir = Directory::new();
+        let table = TxTable::new(4);
+        let line = LineId(25);
+        let occupancy = |d: &Directory| d.shard(line).occupancy.load(Ordering::SeqCst);
+        table.begin(0, 1);
+        table.begin(1, 1);
+        dir.acquire_read(line, owner(0, 1), &table, ConflictPolicy::RequesterWins)
+            .unwrap();
+        assert_eq!(occupancy(&dir), 1);
+        // A second reader on the same line leaves the count (and word) alone.
+        dir.acquire_read(line, owner(1, 1), &table, ConflictPolicy::RequesterWins)
+            .unwrap();
+        assert_eq!(occupancy(&dir), 1);
+        dir.release(owner(0, 1), line, true, false);
+        assert_eq!(occupancy(&dir), 1);
+        dir.release(owner(1, 1), line, true, false);
+        assert_eq!(occupancy(&dir), 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The transaction engine: [`Htm`] runtime, per-thread contexts and the
 //! [`Tx`] handle passed to transactional closures.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 use crate::access::{Direct, Suspended};
@@ -14,7 +14,7 @@ use crate::slots::{
     Owner, TxTable, ST_ACTIVE, ST_COMMITTED, ST_COMMITTING, ST_DOOMED, ST_INACTIVE, ST_SUSPENDED,
 };
 use crate::stats::ThreadStats;
-use crate::util::XorShift64;
+use crate::util::{FxHashMap, XorShift64};
 
 /// Why a transaction attempt failed.
 ///
@@ -199,6 +199,7 @@ impl Htm {
             rng: XorShift64::new(self.cfg.seed ^ ((tid as u64 + 1) << 17)),
             stats: ThreadStats::new(),
             last_conflict: None,
+            scratch: TxScratch::default(),
         }
     }
 
@@ -252,6 +253,52 @@ pub struct ThreadCtx<'h> {
     /// Attribution of the most recent [`Abort::Conflict`], if the doomer
     /// left one. Reset at every transaction begin.
     last_conflict: Option<ConflictInfo>,
+    /// Footprint and write buffer, lent to each [`Tx`] and emptied after
+    /// it, so steady-state transactions allocate nothing.
+    scratch: TxScratch,
+}
+
+/// Footprint bit: the line is in the read-set.
+const READ: u8 = 1;
+/// Footprint bit: the line is in the write-set.
+const WRITE: u8 = 2;
+
+/// One transaction's bookkeeping, kept in its [`ThreadCtx`] across
+/// attempts. `clear` keeps the maps' capacity, so after warm-up a
+/// transaction no larger than an earlier one never allocates.
+#[derive(Debug, Default)]
+pub(crate) struct TxScratch {
+    /// Every tracked line, with its `READ`/`WRITE` bits: one probe per
+    /// access answers both "already read?" and "already written?".
+    lines: FxHashMap<LineId, u8>,
+    /// Lines with the `READ` bit (the read footprint).
+    reads: usize,
+    /// Lines with the `WRITE` bit (the write footprint).
+    writes: usize,
+    /// Buffered stores by cell, flushed at commit. Only cells on `WRITE`
+    /// lines are ever buffered.
+    write_buf: FxHashMap<u32, u64>,
+}
+
+impl TxScratch {
+    /// Whether the transaction wrote (and so buffers) `line`.
+    #[inline]
+    pub(crate) fn wrote(&self, line: LineId) -> bool {
+        self.lines.get(&line).is_some_and(|&bits| bits & WRITE != 0)
+    }
+
+    /// The buffered value of `cell`, if the transaction stored to it.
+    #[inline]
+    pub(crate) fn buffered(&self, cell: CellId) -> Option<u64> {
+        self.write_buf.get(&cell.0).copied()
+    }
+
+    fn clear(&mut self) {
+        self.lines.clear();
+        self.write_buf.clear();
+        self.reads = 0;
+        self.writes = 0;
+    }
 }
 
 impl Drop for ThreadCtx<'_> {
@@ -324,23 +371,18 @@ impl<'h> ThreadCtx<'h> {
         self.htm.table.begin(me.tid, me.epoch);
         self.stats.on_begin(kind);
         self.last_conflict = None;
+        // Normally a no-op: only a closure that panicked out of the last
+        // attempt leaves the scratch unreleased.
+        self.scratch.clear();
 
         let mut tx = Tx {
             htm: self.htm,
             me,
             kind,
-            read_lines: HashSet::new(),
-            write_lines: HashSet::new(),
-            write_buf: HashMap::new(),
+            scratch: &mut self.scratch,
             rng: &mut self.rng,
         };
         let result = f(&mut tx);
-        let Tx {
-            read_lines,
-            write_lines,
-            write_buf,
-            ..
-        } = tx;
 
         let table = &self.htm.table;
         let outcome = match result {
@@ -349,13 +391,11 @@ impl<'h> ThreadCtx<'h> {
                     // Commit point passed: flush buffered writes, then
                     // advertise `Committed` so untracked accesses waiting on
                     // the flush can proceed, then clean the directory.
-                    for (&cell, &val) in &write_buf {
+                    for (&cell, &val) in &self.scratch.write_buf {
                         self.htm.mem.raw_store(CellId(cell), val);
                     }
                     table.set(me.tid, me.epoch, ST_COMMITTED);
-                    self.htm
-                        .dir
-                        .release(me, read_lines.iter(), write_lines.iter());
+                    self.release(me);
                     table.set(me.tid, me.epoch, ST_INACTIVE);
                     self.stats.on_commit(kind);
                     // The commit window itself (Committing → flush →
@@ -374,9 +414,7 @@ impl<'h> ThreadCtx<'h> {
         // Abort path: mark dead (idempotent wrt concurrent dooming), clean
         // the directory, release the slot.
         table.set(me.tid, me.epoch, ST_DOOMED);
-        self.htm
-            .dir
-            .release(me, read_lines.iter(), write_lines.iter());
+        self.release(me);
         table.set(me.tid, me.epoch, ST_INACTIVE);
         let cause = outcome.as_ref().err().copied().expect("abort path");
         // Consume the doomer's attribution note (always, so it cannot leak
@@ -392,6 +430,18 @@ impl<'h> ThreadCtx<'h> {
         self.htm.sched.yield_point(self.tid, YieldKind::TxAbort);
         outcome
     }
+
+    /// Drops `me`'s directory registrations and empties the scratch for
+    /// the next attempt. Contains no yield point, so the (hash) order in
+    /// which lines are released is invisible to a serialized scheduler.
+    fn release(&mut self, me: Owner) {
+        for (&line, &bits) in &self.scratch.lines {
+            self.htm
+                .dir
+                .release(me, line, bits & READ != 0, bits & WRITE != 0);
+        }
+        self.scratch.clear();
+    }
 }
 
 /// Handle for transactional memory accesses, passed to the closure of
@@ -402,9 +452,7 @@ pub struct Tx<'a> {
     htm: &'a Htm,
     me: Owner,
     kind: TxKind,
-    read_lines: HashSet<LineId>,
-    write_lines: HashSet<LineId>,
-    write_buf: HashMap<u32, u64>,
+    scratch: &'a mut TxScratch,
     rng: &'a mut XorShift64,
 }
 
@@ -439,12 +487,12 @@ impl Tx<'_> {
 
     /// Distinct cache lines currently in the read-set (ROTs always report 0).
     pub fn read_footprint(&self) -> usize {
-        self.read_lines.len()
+        self.scratch.reads
     }
 
     /// Distinct cache lines currently in the write-set.
     pub fn write_footprint(&self) -> usize {
-        self.write_lines.len()
+        self.scratch.writes
     }
 
     /// Transactionally reads a cell.
@@ -461,31 +509,41 @@ impl Tx<'_> {
     /// under failure injection.
     pub fn read(&mut self, cell: CellId) -> TxResult<u64> {
         self.check_alive()?;
-        if let Some(&v) = self.write_buf.get(&cell.0) {
-            return Ok(v);
-        }
-        let line = self.htm.mem.line_of(cell);
+        let htm = self.htm;
+        let line = htm.mem.line_of(cell);
+        let cap = self.capacity().read_lines;
+        let policy = self.policy();
         match self.kind {
-            TxKind::Htm => {
-                if !self.read_lines.contains(&line) && !self.write_lines.contains(&line) {
-                    self.htm
-                        .dir
-                        .acquire_read(line, self.me, &self.htm.table, self.policy())?;
-                    self.read_lines.insert(line);
-                    if self.read_lines.len() > self.capacity().read_lines {
+            TxKind::Htm => match self.scratch.lines.entry(line) {
+                Entry::Occupied(e) => {
+                    // Reads-own-writes: only a written line can buffer `cell`.
+                    if *e.get() & WRITE != 0 {
+                        if let Some(v) = self.scratch.buffered(cell) {
+                            return Ok(v);
+                        }
+                    }
+                    Ok(htm.mem.raw_load(cell))
+                }
+                Entry::Vacant(e) => {
+                    htm.dir.acquire_read(line, self.me, &htm.table, policy)?;
+                    e.insert(READ);
+                    self.scratch.reads += 1;
+                    if self.scratch.reads > cap {
                         return Err(Abort::CapacityRead);
                     }
+                    Ok(htm.mem.raw_load(cell))
                 }
-                Ok(self.htm.mem.raw_load(cell))
-            }
+            },
             TxKind::Rot => {
                 // POWER8 ROT reads are untracked; they still participate in
                 // coherence, so they conflict with other transactions'
                 // speculative writes.
-                if self.write_lines.contains(&line) {
-                    return Ok(self.htm.mem.raw_load(cell));
+                if self.scratch.wrote(line) {
+                    return Ok(self
+                        .scratch
+                        .buffered(cell)
+                        .unwrap_or_else(|| htm.mem.raw_load(cell)));
                 }
-                let htm = self.htm;
                 Ok(htm.dir.untracked_op(
                     line,
                     crate::directory::UntrackedKind::Read,
@@ -506,21 +564,33 @@ impl Tx<'_> {
     /// as for [`Tx::read`].
     pub fn write(&mut self, cell: CellId, val: u64) -> TxResult<()> {
         self.check_alive()?;
-        let line = self.htm.mem.line_of(cell);
-        if !self.write_lines.contains(&line) {
-            self.htm
-                .dir
-                .acquire_write(line, self.me, &self.htm.table, self.policy())?;
-            self.write_lines.insert(line);
-            let cap = match self.kind {
-                TxKind::Htm => self.capacity().write_lines,
-                TxKind::Rot => self.capacity().rot_write_lines,
-            };
-            if self.write_lines.len() > cap {
+        let htm = self.htm;
+        let line = htm.mem.line_of(cell);
+        let cap = match self.kind {
+            TxKind::Htm => self.capacity().write_lines,
+            TxKind::Rot => self.capacity().rot_write_lines,
+        };
+        let policy = self.policy();
+        let new_line = match self.scratch.lines.entry(line) {
+            Entry::Occupied(e) if *e.get() & WRITE != 0 => false,
+            Entry::Occupied(mut e) => {
+                htm.dir.acquire_write(line, self.me, &htm.table, policy)?;
+                *e.get_mut() |= WRITE;
+                true
+            }
+            Entry::Vacant(e) => {
+                htm.dir.acquire_write(line, self.me, &htm.table, policy)?;
+                e.insert(WRITE);
+                true
+            }
+        };
+        if new_line {
+            self.scratch.writes += 1;
+            if self.scratch.writes > cap {
                 return Err(Abort::CapacityWrite);
             }
         }
-        self.write_buf.insert(cell.0, val);
+        self.scratch.write_buf.insert(cell.0, val);
         Ok(())
     }
 
@@ -563,8 +633,7 @@ impl Tx<'_> {
         let s = Suspended {
             htm: self.htm,
             me: self.me,
-            write_lines: &self.write_lines,
-            write_buf: &self.write_buf,
+            scratch: self.scratch,
         };
         let r = f(&s);
         if !table.try_transition(self.me.tid, self.me.epoch, ST_SUSPENDED, ST_ACTIVE) {

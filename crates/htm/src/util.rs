@@ -1,5 +1,8 @@
 //! Small internal utilities.
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 /// Pads (and aligns) a value to a 64-byte cache line to avoid false sharing
 /// between per-thread slots in hot arrays.
 #[derive(Debug, Default)]
@@ -13,6 +16,54 @@ impl<T> std::ops::Deref for Pad<T> {
         &self.0
     }
 }
+
+/// An Fx-style hasher (the rustc/Firefox one): one rotate, xor and
+/// multiply per word. The tracked-access maps are keyed by a line or cell
+/// id, where SipHash's per-lookup cost would dominate the access they
+/// bookkeep. Unseeded, so iteration order is the same in every process.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(0x51_7C_C1_B7_27_22_0A_95);
+    }
+}
+
+impl Hasher for FxHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+/// A `HashMap` keyed through [`FxHasher`].
+pub(crate) type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// Stateless 64-bit finalizer (splitmix64's): hashes a counter into
 /// well-distributed bits. Used by the schedule-shake hook, which has no
@@ -72,6 +123,22 @@ mod tests {
     fn pad_is_cache_line_aligned() {
         assert!(std::mem::align_of::<Pad<u64>>() >= 64);
         assert!(std::mem::size_of::<Pad<u64>>() >= 64);
+    }
+
+    #[test]
+    fn fx_hash_is_unseeded_and_spreads_sequential_ids() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<FxHasher>::default();
+        let hash = |id: u32| build.hash_one(id);
+        assert_eq!(hash(42), hash(42));
+        // hashbrown takes its control byte from the top 7 bits: sequential
+        // line ids must not collapse onto a few of them.
+        let tops: std::collections::HashSet<u64> = (0..1024).map(|i| hash(i) >> 57).collect();
+        assert!(
+            tops.len() > 100,
+            "only {} distinct top-7 values",
+            tops.len()
+        );
     }
 
     #[test]

@@ -463,3 +463,112 @@ fn non_conflict_aborts_carry_no_attribution() {
     let _ = ctx.txn(TxKind::Htm, |tx| tx.abort::<()>(7));
     assert_eq!(ctx.last_conflict(), None);
 }
+
+/// Each thread context reuses one footprint and write buffer across its
+/// transactions. Whatever way an attempt that buffered writes ends, the
+/// next attempt must start empty: no footprint, reads served from memory,
+/// and suspended loads not served from the old buffer either.
+mod scratch_reuse {
+    use htm_sim::{Abort, CapacityProfile, Htm, Region, TxKind, TxResult};
+
+    /// Runs `attempt` (which buffers stores of 100+ into the first two lines
+    /// of `r`), overwrites those cells with fresh values, then checks that
+    /// the next transaction on the same context sees only memory.
+    fn check_next_attempt_is_fresh(
+        kind: TxKind,
+        expect: Result<(), Abort>,
+        attempt: impl FnOnce(&mut htm_sim::Tx<'_>, &Htm, Region) -> TxResult<()>,
+    ) {
+        // TINY: 4 read lines, 2 write lines, ROT and suspend/resume.
+        let htm = super::htm_with(CapacityProfile::TINY);
+        let r = htm.memory().alloc_line_aligned(8 * 4);
+        let mut ctx = htm.thread(0);
+        let got = ctx.txn(kind, |tx| attempt(tx, &htm, r));
+        assert_eq!(got, expect);
+
+        let fresh = [r.cell(0), r.cell(1), r.cell(8)];
+        let d = htm.direct(1);
+        for (i, &c) in fresh.iter().enumerate() {
+            d.store(c, 7 + i as u64);
+        }
+        let want = vec![7, 8, 9];
+        let (suspended, read) = ctx
+            .txn(TxKind::Htm, |tx| {
+                assert_eq!(tx.read_footprint(), 0, "read footprint carried over");
+                assert_eq!(tx.write_footprint(), 0, "write footprint carried over");
+                let suspended =
+                    tx.suspend(|s| fresh.iter().map(|&c| s.load(c)).collect::<Vec<u64>>())?;
+                let read = fresh
+                    .iter()
+                    .map(|&c| tx.read(c))
+                    .collect::<TxResult<Vec<u64>>>()?;
+                assert_eq!(tx.read_footprint(), 2);
+                assert_eq!(tx.write_footprint(), 0);
+                Ok((suspended, read))
+            })
+            .unwrap();
+        assert_eq!(suspended, want, "suspended loads saw the old write buffer");
+        assert_eq!(read, want, "reads saw the old write buffer");
+        let after: Vec<u64> = fresh.iter().map(|&c| d.load(c)).collect();
+        assert_eq!(
+            after, want,
+            "a read-only commit flushed the old write buffer"
+        );
+    }
+
+    fn buffer_two_lines(tx: &mut htm_sim::Tx<'_>, r: &Region) -> TxResult<()> {
+        tx.write(r.cell(0), 100)?;
+        tx.write(r.cell(1), 101)?;
+        tx.write(r.cell(8), 102)?;
+        Ok(())
+    }
+
+    #[test]
+    fn after_commit() {
+        check_next_attempt_is_fresh(TxKind::Htm, Ok(()), |tx, _, r| {
+            let _ = tx.read(r.cell(16))?;
+            buffer_two_lines(tx, &r)
+        });
+    }
+
+    #[test]
+    fn after_explicit_abort() {
+        check_next_attempt_is_fresh(TxKind::Htm, Err(Abort::Explicit(3)), |tx, _, r| {
+            let _ = tx.read(r.cell(16))?;
+            buffer_two_lines(tx, &r)?;
+            tx.abort(3)
+        });
+    }
+
+    #[test]
+    fn after_capacity_abort() {
+        check_next_attempt_is_fresh(TxKind::Htm, Err(Abort::CapacityWrite), |tx, _, r| {
+            buffer_two_lines(tx, &r)?;
+            tx.write(r.cell(16), 103) // a third line: over TINY's 2
+        });
+    }
+
+    #[test]
+    fn after_conflict_abort() {
+        check_next_attempt_is_fresh(TxKind::Htm, Err(Abort::Conflict), |tx, htm, r| {
+            let _ = tx.read(r.cell(24))?;
+            buffer_two_lines(tx, &r)?;
+            htm.direct(1).store(r.cell(24), 1); // strong isolation dooms us
+            tx.read(r.cell(25)).map(drop)
+        });
+    }
+
+    #[test]
+    fn after_rot() {
+        check_next_attempt_is_fresh(TxKind::Rot, Err(Abort::Explicit(5)), |tx, _, r| {
+            let _ = tx.read(r.cell(16))?;
+            buffer_two_lines(tx, &r)?;
+            tx.abort(5)
+        });
+    }
+
+    #[test]
+    fn after_rot_commit() {
+        check_next_attempt_is_fresh(TxKind::Rot, Ok(()), |tx, _, r| buffer_two_lines(tx, &r));
+    }
+}

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full CI gate: formatting, lints, tier-1 build+test, and a torture smoke.
+# Full CI gate: formatting, lints, tier-1 build+test, the workspace and
+# wallbench test suites, and torture, lincheck and bench smokes.
 # Everything runs offline against the in-workspace dependency shims.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -21,6 +22,14 @@ cargo build --release --offline
 
 echo "==> tier-1: cargo test -q"
 cargo test -q --offline
+
+echo "==> workspace tests (every crate: torture matrices, goldens, lincheck, engine)"
+# Tier-1 runs only the root package's tests; the crates' own suites (and
+# the simulator's allocation-count test) run here.
+cargo test --workspace --release -q --offline
+
+echo "==> wallbench tests (its own package: oracles, argument parsing, a smoke run per workload)"
+cargo test --release --offline --manifest-path wallbench/Cargo.toml
 
 echo "==> torture smoke (full matrix, reduced depth)"
 cargo run -q --release --offline -p sprwl-torture -- --threads 2 --ops 100
