@@ -1,14 +1,17 @@
 //! Criterion micro-benchmarks of the primitives: uncontended section
-//! overhead per scheme, raw HTM transaction cost, SNZI operations, and the
-//! duration estimator.
+//! overhead per scheme, raw HTM transaction cost, SNZI operations, the KV
+//! service's read guard, and the duration estimator.
+
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use htm_sim::{CapacityProfile, Htm, HtmConfig, TxKind};
 use snzi::Snzi;
-use sprwl::SpRwl;
+use sprwl::{SpRwl, SprwlConfig};
 use sprwl_locks::{
     BrLock, LockThread, PassiveRwLock, PhaseFairRwLock, PthreadRwLock, RwSync, SectionId, Tle,
 };
+use sprwl_server::{block_on, ShardLock};
 
 fn htm() -> Htm {
     Htm::new(
@@ -129,6 +132,46 @@ fn bench_snzi(c: &mut Criterion) {
         })
     });
     c.bench_function("snzi/query", |b| b.iter(|| snzi.query_untracked(&d)));
+
+    // Two threads on the two leaves of one indicator, both arriving and
+    // departing back to zero: the KV service's two-client shape. A peer
+    // thread churns leaf 1 while leaf 0's round trip is timed.
+    let pair = Snzi::new(h.memory(), 2);
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let d1 = h.direct(1);
+            while !stop.load(Ordering::Relaxed) {
+                pair.arrive(&d1, 1);
+                pair.depart(&d1, 1);
+            }
+        });
+        c.bench_function("snzi/arrive-depart-2t", |b| {
+            b.iter(|| {
+                pair.arrive(&d, 0);
+                pair.depart(&d, 0);
+            })
+        });
+        stop.store(true, Ordering::Relaxed);
+    });
+}
+
+/// A GET's admission in the KV service: `block_on` over an idle shard's
+/// `read()` future, then dropping the guard. The shard is configured as
+/// the service builds it (BRAVO readers, versioned SGL).
+fn bench_server_guard(c: &mut Criterion) {
+    let h = htm();
+    let shard = ShardLock::new(SpRwl::new(
+        &h,
+        SprwlConfig {
+            versioned_sgl: true,
+            ..SprwlConfig::with_bravo()
+        },
+    ));
+    let d = h.direct(0);
+    c.bench_function("server/read-guard", |b| {
+        b.iter(|| drop(block_on(shard.read(d, 0))))
+    });
 }
 
 /// The zero-cost-when-off claim, measured: the same uncontended SpRWL
@@ -184,6 +227,6 @@ fn bench_estimator(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_millis(400)).warm_up_time(std::time::Duration::from_millis(150));
-    targets = bench_raw_htm, bench_sections, bench_snzi, bench_trace_overhead, bench_estimator
+    targets = bench_raw_htm, bench_sections, bench_snzi, bench_server_guard, bench_trace_overhead, bench_estimator
 }
 criterion_main!(benches);

@@ -240,7 +240,12 @@ impl SpRwl {
     pub(crate) fn reader_may_proceed(&self, tid: usize, mem: &htm_sim::SimMemory) -> bool {
         let (version, locked) = self.fallback.peek(mem);
         if !locked {
-            self.waiting_version[tid].store(NONE);
+            // Clear a §3.3 registration only when there is one: the slot is
+            // almost always already clear, and a load is cheaper than a
+            // `SeqCst` store on every admission.
+            if self.waiting_version[tid].load() != NONE {
+                self.waiting_version[tid].store(NONE);
+            }
             return true;
         }
         if !self.cfg.versioned_sgl {

@@ -188,67 +188,172 @@ fn decisions_for(traces: &[ThreadTrace], wanted: &str) -> Vec<(u32, u64)> {
         .collect()
 }
 
-/// Satellite bugfix regression: the bias knob used to watch only
-/// reader-check *aborts*, but BRAVO revocations are paid *before* the
-/// transaction — a writer that drains the visible table every execution
-/// and then commits clean generated zero pressure signal. Single-threaded
-/// (so reader aborts are impossible by construction), with the bias
-/// force-armed before every write: the revocation feed alone must flip
-/// `bias_enabled` off, and a quiet stretch must hand it back.
-#[test]
-fn tuner_flips_bias_off_under_pure_revocation_pressure() {
-    let h = Htm::new(
-        HtmConfig {
-            capacity: CapacityProfile::BROADWELL_SIM,
-            max_threads: 4,
-            ..HtmConfig::default()
-        },
-        64 * 1024,
-    );
-    let lock = SpRwl::new(
-        &h,
+/// The tuner's window is 32 section completions, and 8 revocations in one
+/// window count as pressure (`TUNE_WINDOW` and `PRESSURE_THRESHOLD` in
+/// `crates/core/src/tuner.rs`).
+const WINDOW: usize = 32;
+const PRESSURE: usize = WINDOW / 4;
+
+/// Runs one write section on `SEC_W`, first arming the bias when `arm`,
+/// so the section's writer pays exactly one revocation.
+fn write_once(lock: &SpRwl, t: &mut LockThread<'_>, cell: htm_sim::CellId, arm: bool) {
+    if arm {
+        lock.debug_arm_bias(&t.ctx.direct());
+    }
+    lock.write_section(t, SEC_W, &mut |a| {
+        let v = a.read(cell)?;
+        a.write(cell, v + 1)?;
+        Ok(v)
+    });
+}
+
+fn bravo_tuned(h: &Htm) -> SpRwl {
+    SpRwl::new(
+        h,
         SprwlConfig {
             reader_tracking: ReaderTracking::Bravo,
             readers_try_htm: false,
             delta: DeltaPolicy::Zero,
             ..SprwlConfig::self_tuning()
         },
+    )
+}
+
+/// The bias knob must see BRAVO revocations, which writers pay *before*
+/// the transaction: a writer that drains the visible table every execution
+/// and then commits clean produces no reader-check abort at all. The
+/// revocation feed (`tuner_note_revoke`) is counted exactly: one fewer
+/// revocation than the threshold in a window flips nothing, the threshold
+/// flips the bias off at the window's last completion and not before, and
+/// a window without revocations flips it back. Single-threaded, so no
+/// reader abort can feed the same knob.
+#[test]
+fn tuner_flips_bias_off_under_pure_revocation_pressure() {
+    let h = Htm::new(
+        HtmConfig {
+            capacity: CapacityProfile::BROADWELL_SIM,
+            max_threads: 2,
+            ..HtmConfig::default()
+        },
+        64 * 1024,
     );
+    let lock = bravo_tuned(&h);
     let cell = h.memory().alloc(1).cell(0);
     let mut t = LockThread::with_trace(h.thread(0), TraceConfig::ring(8192));
     assert!(lock.debug_bias_enabled());
 
-    // Pressure phase: every write section pays a revocation (zero aborts).
-    for _ in 0..64 {
-        lock.debug_arm_bias(&t.ctx.direct());
-        lock.write_section(&mut t, SEC_W, &mut |a| {
-            let v = a.read(cell)?;
-            a.write(cell, v + 1)?;
-            Ok(v)
-        });
+    // Window 1: one revocation short of pressure.
+    for i in 0..WINDOW {
+        write_once(&lock, &mut t, cell, i < PRESSURE - 1);
     }
-    assert!(
-        !lock.debug_bias_enabled(),
-        "sustained revocation pressure with zero reader aborts must flip bias off"
-    );
+    assert!(lock.debug_bias_enabled(), "below the threshold: no flip");
 
-    // Quiet phase: no revocations, no reader aborts → the tuner re-arms.
-    for _ in 0..64 {
-        lock.write_section(&mut t, SEC_W, &mut |a| {
-            let v = a.read(cell)?;
-            a.write(cell, v + 1)?;
-            Ok(v)
-        });
+    // Window 2: exactly the threshold, all early in the window.
+    for i in 0..WINDOW - 1 {
+        write_once(&lock, &mut t, cell, i < PRESSURE);
     }
     assert!(
         lock.debug_bias_enabled(),
-        "a fully quiet window must hand the fast path back to readers"
+        "the window is judged only at its last completion"
+    );
+    write_once(&lock, &mut t, cell, false);
+    assert!(
+        !lock.debug_bias_enabled(),
+        "threshold revocations flip bias off"
     );
 
-    let flips = decisions_for(&[t.trace.snapshot()], "bravo-bias");
+    // Window 3: quiet.
+    for _ in 0..WINDOW {
+        write_once(&lock, &mut t, cell, false);
+    }
+    assert!(lock.debug_bias_enabled(), "a quiet window flips it back");
+
+    let trace = t.trace.snapshot();
+    let revokes = trace
+        .events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::BiasRevoke { .. }))
+        .count();
+    assert_eq!(
+        revokes,
+        2 * PRESSURE - 1,
+        "one revocation per armed section"
+    );
+    assert_eq!(
+        decisions_for(&[trace], "bravo-bias"),
+        vec![(SEC_W.0, 0), (SEC_W.0, 1)]
+    );
+}
+
+/// Two writers under the deterministic scheduler, each arming the bias
+/// before every section: the revocation feed must flip the bias off, and
+/// the same schedule seed must give the same revocations and the same
+/// decisions at the same points.
+#[test]
+fn revocation_flips_replay_identically_under_the_det_scheduler() {
+    const WRITERS: usize = 2;
+    const SECTIONS: usize = 2 * WINDOW;
+    let run = |schedule_seed: u64| {
+        let h = Htm::new(
+            HtmConfig {
+                capacity: CapacityProfile::BROADWELL_SIM,
+                max_threads: WRITERS,
+                scheduler: SchedulerKind::Deterministic { schedule_seed },
+                ..HtmConfig::default()
+            },
+            64 * 1024,
+        );
+        let lock = bravo_tuned(&h);
+        let cell = h.memory().alloc(1).cell(0);
+        let traces = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..WRITERS)
+                .map(|tid| {
+                    let (h, lock) = (&h, &lock);
+                    s.spawn(move || {
+                        let mut t = LockThread::with_trace(h.thread(tid), TraceConfig::ring(8192));
+                        for _ in 0..SECTIONS {
+                            write_once(lock, &mut t, cell, true);
+                        }
+                        t.trace.snapshot()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("writer panicked"))
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(h.memory().peek(cell), (WRITERS * SECTIONS) as u64);
+        let revokes: Vec<usize> = traces
+            .iter()
+            .map(|t| {
+                t.events
+                    .iter()
+                    .filter(|e| matches!(e.kind, EventKind::BiasRevoke { .. }))
+                    .count()
+            })
+            .collect();
+        let flips: Vec<Vec<(u32, u64)>> = traces
+            .iter()
+            .map(|t| decisions_for(std::slice::from_ref(t), "bravo-bias"))
+            .collect();
+        (revokes, flips, lock.debug_bias_enabled())
+    };
+    let (revokes, flips, enabled) = run(13);
     assert!(
-        flips.contains(&(SEC_W.0, 0)) && flips.contains(&(SEC_W.0, 1)),
-        "both flips must be visible as tune-decision events: {flips:?}"
+        revokes.iter().sum::<usize>() >= PRESSURE,
+        "the writers paid revocations: {revokes:?}"
+    );
+    assert_eq!(
+        flips.iter().flatten().next(),
+        Some(&(SEC_W.0, 0)),
+        "the first bias decision is the pressure flip: {flips:?}"
+    );
+    assert!(!enabled, "sustained revocations keep the bias off");
+    assert_eq!(
+        run(13),
+        (revokes, flips, enabled),
+        "same schedule seed, same revocations and decisions"
     );
 }
 

@@ -7,7 +7,12 @@
 //! parked worker keeps handing its turns to peers, so a whole service run
 //! stays schedulable and byte-reproducible. No tokio, consistent with the
 //! repo's offline-shims approach.
+//!
+//! A call whose future is ready on its first poll allocates nothing: each
+//! thread keeps one park flag and reuses it while no waker from an earlier
+//! call still holds it (see [`park_flag`]).
 
+use std::cell::RefCell;
 use std::future::Future;
 use std::pin::pin;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -24,8 +29,32 @@ use htm_sim::clock::SpinWait;
 const REPOLL_EVERY: u32 = 64;
 
 /// The waker payload: a flag the parked thread spins on.
+#[derive(Default)]
 struct ParkFlag {
     woken: AtomicBool,
+}
+
+thread_local! {
+    /// This thread's reusable park flag; see [`park_flag`].
+    static PARK_FLAG: RefCell<Arc<ParkFlag>> = RefCell::new(Arc::default());
+}
+
+/// A cleared park flag for one [`block_on`] call.
+///
+/// The thread's cached flag is reused only when this thread holds the sole
+/// reference (`Arc::get_mut` succeeds). A call that pended may have left a
+/// clone of its waker in a wake-list; while that clone lives, the cached
+/// flag is replaced by a fresh one, so a stale waker can never wake a later
+/// call.
+fn park_flag() -> Arc<ParkFlag> {
+    PARK_FLAG.with(|cached| {
+        let mut cached = cached.borrow_mut();
+        match Arc::get_mut(&mut cached) {
+            Some(flag) => *flag.woken.get_mut() = false,
+            None => *cached = Arc::default(),
+        }
+        Arc::clone(&cached)
+    })
 }
 
 impl Wake for ParkFlag {
@@ -44,9 +73,7 @@ impl Wake for ParkFlag {
 /// [`SpinWait::snooze`] (never an OS block), so a bound thread keeps
 /// yielding schedule turns while parked.
 pub fn block_on<F: Future>(fut: F) -> F::Output {
-    let flag = Arc::new(ParkFlag {
-        woken: AtomicBool::new(false),
-    });
+    let flag = park_flag();
     let waker = Waker::from(Arc::clone(&flag));
     let mut cx = Context::from_waker(&waker);
     let mut fut = pin!(fut);

@@ -82,6 +82,13 @@ fn node_pack(version: u64, count: u64) -> u64 {
     (version << 32) | (count & COUNT_MASK)
 }
 
+/// One tree node on its own 64-byte line. Every arrival and departure
+/// CASes its thread's leaf, so unpadded neighbouring leaves would bounce
+/// one host cache line between the threads that own them.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct Node(AtomicU64);
+
 /// First bit of the root word's client-tag field (see the crate docs).
 pub const ROOT_TAG_SHIFT: u32 = 32;
 
@@ -115,7 +122,7 @@ pub fn with_root_tag(word: u64, tag: u64) -> u64 {
 pub struct Snzi {
     /// Interior nodes in heap layout. Nodes 0 and 1 are the children of the
     /// (external) root cell; the parent of node `i ≥ 2` is `(i - 2) / 2`.
-    nodes: Box<[AtomicU64]>,
+    nodes: Box<[Node]>,
     /// Index of the first leaf within `nodes`.
     first_leaf: usize,
     n_threads: usize,
@@ -137,7 +144,7 @@ impl Snzi {
         // root: 2 * n_leaves - 2 nodes, leaves occupying the tail.
         let total = 2 * n_leaves - 2;
         let mut nodes = Vec::with_capacity(total);
-        nodes.resize_with(total, || AtomicU64::new(0));
+        nodes.resize_with(total, Node::default);
         Self {
             nodes: nodes.into_boxed_slice(),
             first_leaf: n_leaves - 2,
@@ -203,7 +210,7 @@ impl Snzi {
             return Err(format!("snzi root count is {root}, expected 0"));
         }
         for (i, node) in self.nodes.iter().enumerate() {
-            let c = count_of(node.load(Ordering::SeqCst));
+            let c = count_of(node.0.load(Ordering::SeqCst));
             if c != 0 {
                 return Err(format!("snzi node {i} count is {c}, expected 0"));
             }
@@ -238,7 +245,7 @@ impl Snzi {
 
     /// Ellen et al., Figure 2 (hierarchical node `Arrive`).
     fn arrive_node(&self, d: &Direct<'_>, i: usize) {
-        let node = &self.nodes[i];
+        let node = &self.nodes[i].0;
         let mut succ = false;
         let mut undo = 0u32;
         while !succ {
@@ -295,7 +302,7 @@ impl Snzi {
 
     /// Ellen et al., Figure 2 (hierarchical node `Depart`).
     fn depart_node(&self, d: &Direct<'_>, i: usize) {
-        let node = &self.nodes[i];
+        let node = &self.nodes[i].0;
         loop {
             let x = node.load(Ordering::SeqCst);
             debug_assert!(count_of(x) >= ONE, "depart without matching arrive");
@@ -397,6 +404,21 @@ mod tests {
         assert!(snzi.query_untracked(&d));
         snzi.depart(&d, 0);
         assert!(!snzi.query_untracked(&d));
+    }
+
+    #[test]
+    fn every_node_sits_on_its_own_cache_line() {
+        let (_htm, snzi) = setup(8);
+        assert_eq!(std::mem::size_of::<Node>(), 64);
+        let addrs: Vec<usize> = snzi
+            .nodes
+            .iter()
+            .map(|n| n as *const Node as usize)
+            .collect();
+        for pair in addrs.windows(2) {
+            assert!(pair[1] - pair[0] >= 64, "nodes {pair:x?} share a line");
+        }
+        assert!(addrs.iter().all(|a| a % 64 == 0), "nodes are line-aligned");
     }
 
     #[test]

@@ -34,6 +34,36 @@ fn concurrent_arrive_depart_round_trips() {
     assert!(!snzi.query_untracked(&htm.direct(0)), "all departed");
 }
 
+/// Two threads on distinct leaves of a two-leaf tree: the layout the KV
+/// service's two clients produce, where every arrival and departure CASes
+/// a neighbouring node.
+#[test]
+fn two_leaves_stay_balanced_over_many_round_trips() {
+    const PAIRS: usize = 100_000;
+    let htm = Htm::new(
+        HtmConfig {
+            max_threads: 2,
+            ..HtmConfig::default()
+        },
+        256,
+    );
+    let snzi = Snzi::new(htm.memory(), 2);
+    std::thread::scope(|s| {
+        for tid in 0..2 {
+            let (htm, snzi) = (&htm, &snzi);
+            s.spawn(move || {
+                let d = htm.direct(tid);
+                for _ in 0..PAIRS {
+                    snzi.arrive(&d, tid);
+                    snzi.depart(&d, tid);
+                }
+            });
+        }
+    });
+    snzi.check_balanced(htm.memory())
+        .expect("every arrival departed");
+}
+
 #[test]
 fn concurrent_nested_presences_drain_to_zero() {
     const THREADS: usize = 6;

@@ -95,6 +95,32 @@ rm -rf "$BENCH_SMOKE_DIR"
 mkdir -p "$BENCH_SMOKE_DIR"
 bench_sweep() { cargo run -q --release --offline -p sprwl-bench --bin bench-sweep -- "$@"; }
 bench_compare() { cargo run -q --release --offline -p sprwl-bench --bin bench-compare -- "$@"; }
+# det_identical COMMITTED CURRENT: a det document regenerated with the
+# committed document's flags must match it point for point. Only the
+# provenance fields (date, git_commit, hardware) may differ. A change that
+# alters det behaviour on purpose regenerates the committed document in
+# the same change.
+det_identical() {
+    python3 - "$1" "$2" <<'EOF'
+import json, sys
+committed, current = sys.argv[1], sys.argv[2]
+base, cur = json.load(open(committed)), json.load(open(current))
+provenance = {"date", "git_commit", "hardware"}
+for key in sorted((set(base) | set(cur)) - provenance - {"points"}):
+    if base.get(key) != cur.get(key):
+        sys.exit(f"det identity: {key} is {cur.get(key)!r}, committed {base.get(key)!r} ({committed})")
+for i, (b, c) in enumerate(zip(base["points"], cur["points"])):
+    if b != c:
+        sys.exit(
+            f"det identity: point {i} differs from {committed}\n"
+            f"  committed {json.dumps(b, sort_keys=True)}\n"
+            f"  current   {json.dumps(c, sort_keys=True)}"
+        )
+if len(base["points"]) != len(cur["points"]):
+    sys.exit(f"det identity: {len(cur['points'])} points, committed {len(base['points'])} ({committed})")
+print(f"det identity: {len(cur['points'])} points match {committed}")
+EOF
+}
 # A small deterministic grid must emit a parsable, summarizable document.
 bench_sweep --det --threads 1,2 --ops 400 --warmup-ops 50 --locks SpRWL,TLE \
     --workloads read-only,hot-key --category smoke --out "$BENCH_SMOKE_DIR" > /dev/null
@@ -198,22 +224,35 @@ bench_compare "$BENCH_SMOKE_DIR"/srv-a/BENCH_serversmoke_*.json \
     "$BENCH_SMOKE_DIR"/srv-b/BENCH_serversmoke_*.json > /dev/null
 python3 scripts/summarize_bench.py "$BENCH_SMOKE_DIR"/srv-a/BENCH_serversmoke_*.json > /dev/null
 
-echo "==> server baseline gate (regenerate the committed service grid, loose thresholds)"
+echo "==> server baseline gate (regenerate the committed service grid: point-identical, then loose thresholds)"
 SERVER_BASELINE=$(ls results/BENCH_server_*.json | head -n 1)
 bench_sweep --server --shards 2,4 --threads 2,4 --ops 400 --warmup-ops 40 \
     --schedule-seed 7 --seed 42 --out "$BENCH_SMOKE_DIR/server-current" > /dev/null
 SERVER_CURRENT=$(ls "$BENCH_SMOKE_DIR"/server-current/BENCH_server_*.json)
+det_identical "$SERVER_BASELINE" "$SERVER_CURRENT"
+# A drifted point must fail the identity check, or it passes vacuously.
+python3 - "$SERVER_CURRENT" "$BENCH_SMOKE_DIR/server-drifted.json" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+doc["points"][-1]["commits"] += 1
+json.dump(doc, open(sys.argv[2], "w"))
+EOF
+if det_identical "$SERVER_CURRENT" "$BENCH_SMOKE_DIR/server-drifted.json" > /dev/null 2>&1; then
+    echo "det identity smoke: a drifted point passed the check" >&2
+    exit 1
+fi
 bench_compare "$SERVER_BASELINE" "$SERVER_CURRENT" \
     --throughput-drop-pct 40 --abort-rise-pp 25 --p99-rise-pct 400
 python3 scripts/summarize_bench.py "$SERVER_CURRENT" > /dev/null
 
-echo "==> capacity baseline gate (big-footprint writers: the stretching ladder must keep winning)"
+echo "==> capacity baseline gate (point-identical regeneration; the stretching ladder must keep winning)"
 # Regenerate the committed capacity document (deterministic: byte-identical
 # for identical flags) and gate the stretching claim three ways.
 CAP_BASELINE=$(ls results/BENCH_capacity_*.json | head -n 1)
 bench_sweep --capacity --threads 2 --ops 240 --schedule-seed 7 --seed 42 \
     --out "$BENCH_SMOKE_DIR/capacity-current" > /dev/null
 CAP_CURRENT=$(ls "$BENCH_SMOKE_DIR"/capacity-current/BENCH_capacity_*.json)
+det_identical "$CAP_BASELINE" "$CAP_CURRENT"
 # 1. Drift against the committed baseline (loose: catches collapses).
 bench_compare "$CAP_BASELINE" "$CAP_CURRENT" \
     --throughput-drop-pct 40 --abort-rise-pp 25 --p99-rise-pct 400
